@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.basic_enum import RunResult
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
+from repro.core.batch_enum import RunResult, StageTimer, empty_result, execute_plan
+from repro.core.enumeration import EnumStats
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split
 from repro.graph.ops import reverse_edges
-from repro.harness.timing import StageTimer
 
 
 def _run_unpruned(
@@ -34,24 +33,17 @@ def _run_unpruned(
     queries: list[Query],
     splits: dict[int, int],
 ) -> RunResult:
+    if not queries:
+        return empty_result(spark)
     timer = StageTimer()
     stats = EnumStats()
-    rev = reverse_edges(edges)
     with timer.stage("enumeration"):
         plan = build_basic_plan(queries, splits)
         plan.prune_pairs = []  # the adaptation: no HC-specific index pruning
-        paths = enumerate_nodes(
-            spark, edges, rev, plan.nodes, plan.prune_pairs,
-            _empty_index(spark), _empty_index(spark),
-            stats=stats,
+        results, n_paths = execute_plan(
+            spark, edges, reverse_edges(edges), plan, None, None, stats
         )
-        results = assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
-        n_paths = results.count()
     return RunResult(results, timer.seconds, stats, {"n_paths": n_paths})
-
-
-def _empty_index(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], "root long, v long, dist int")
 
 
 def run_onepass(

@@ -4,49 +4,31 @@ One shared distance index is built by multi-source BFS from all sources and
 all targets; every query is then answered independently by PathEnum's
 index-pruned bidirectional search — all queries ride the same batched Spark
 pipeline (one row-space keyed by query), but no intermediate results are
-shared across queries. ``optimized=True`` is BasicEnum⁺'s cost-based search
-order (forward/backward budget split from index frontier counts).
+shared across queries. The plan is BatchEnum's with an empty Ψ: one level,
+no stops, no providers, run by :func:`repro.core.batch_enum.execute_plan`.
+``optimized=True`` is BasicEnum⁺'s cost-based search order (forward/backward
+budget split from index frontier counts).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import index as idx
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
+from repro.core.batch_enum import (
+    RunResult,
+    StageTimer,
+    compute_splits,
+    empty_result,
+    execute_plan,
+)
+from repro.core.enumeration import EnumStats
+
+# Unused here: perfbench/trace_layers.py patches ``enumerate_nodes`` by this
+# module's name, so the name must stay importable from it.
+from repro.core.enumeration import enumerate_nodes  # noqa: F401
 from repro.core.queries import Query
-from repro.core.sharing import build_basic_plan, default_split, optimized_split
+from repro.core.sharing import build_basic_plan
 from repro.graph.ops import reverse_edges
-from repro.harness.timing import StageTimer
-
-
-@dataclass
-class RunResult:
-    """Output of one algorithm run: final paths + per-stage seconds + work."""
-
-    results: DataFrame  # (qid, path array<long>)
-    timings: dict[str, float]
-    stats: EnumStats
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.timings.values())
-
-
-def compute_splits(
-    queries: list[Query],
-    optimized: bool,
-    fwd_index: DataFrame,
-    bwd_index: DataFrame,
-) -> dict[int, int]:
-    """Per-query forward budget ``a``: fixed ⌈k/2⌉, or cost-based (⁺)."""
-    if not optimized:
-        return {q.qid: default_split(q) for q in queries}
-    fc = idx.index_counts(fwd_index)
-    bc = idx.index_counts(bwd_index)
-    return {q.qid: optimized_split(q, fc, bc) for q in queries}
 
 
 def run_basic(
@@ -57,6 +39,8 @@ def run_basic(
     optimized: bool = False,
 ) -> RunResult:
     """Run Algorithm 1 over the batch; returns all HC-s-t paths per query."""
+    if not queries:
+        return empty_result(spark)
     timer = StageTimer()
     stats = EnumStats()
     rev = reverse_edges(edges)
@@ -68,12 +52,9 @@ def run_basic(
     with timer.stage("enumeration"):
         splits = compute_splits(queries, optimized, fwd_index, bwd_index)
         plan = build_basic_plan(queries, splits)
-        paths = enumerate_nodes(
-            spark, edges, rev, plan.nodes, plan.prune_pairs,
-            fwd_index, bwd_index, stats=stats,
+        results, n_paths = execute_plan(
+            spark, edges, rev, plan, fwd_index, bwd_index, stats
         )
-        results = assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
-        n_paths = results.count()
     return RunResult(
         results, timer.seconds, stats,
         {"n_paths": n_paths, "n_nodes": len(plan.nodes)},

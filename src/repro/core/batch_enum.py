@@ -1,4 +1,5 @@
-"""BatchEnum / BatchEnum⁺ (Algorithm 4): the paper's contribution.
+"""BatchEnum / BatchEnum⁺ (Algorithm 4), and the plan executor every
+algorithm runs on.
 
 Pipeline (Alg 4 lines 1-16):
 
@@ -7,28 +8,149 @@ Pipeline (Alg 4 lines 1-16):
    self-join), then driver-side hierarchical clustering at threshold γ.
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
-4. **Enumeration** — Ψ's HC-s nodes are processed level-by-level in
-   topological order; each level is one batched Spark enumeration whose
-   searches *stop* at provider roots and concatenate the provider's cached
-   paths from ``R`` (a persisted DataFrame). Finally every query's forward
-   and backward HC-s results are ⊕-concatenated.
+4. **Enumeration** — :func:`execute_plan` processes Ψ's HC-s nodes
+   level-by-level in topological order; each level is one batched Spark
+   enumeration whose searches *stop* at provider roots and concatenate the
+   provider's cached paths from ``R``. Finally every query's forward and
+   backward HC-s results are ⊕-concatenated.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.
+
+The other algorithms are plan builders over the same :func:`execute_plan`:
+BasicEnum's plan is Ψ-free (one level, no stops), PathEnum runs BasicEnum
+once per query, and the KSP baselines run the basic plan without prune
+pairs.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+import functools
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
+
+from repro.core import enumeration
 from repro.core import index as idx
-from repro.core.basic_enum import RunResult, compute_splits
 from repro.core.clustering import cluster_queries
-from repro.core.enumeration import EnumStats, assemble, empty_paths, enumerate_nodes
+from repro.core.enumeration import EnumStats, enumerate_nodes
 from repro.core.queries import Query
-from repro.core.sharing import align_splits_per_cluster, build_shared_plan
+from repro.core.sharing import (
+    ExecPlan,
+    align_splits_per_cluster,
+    build_shared_plan,
+    default_split,
+    optimized_split,
+)
 from repro.core.similarity import batch_similarity, pairwise_mu
 from repro.graph.ops import collect_adjacency, reverse_adjacency, reverse_edges
-from repro.harness.timing import StageTimer
+
+
+@dataclass
+class RunResult:
+    """Output of one algorithm run: final paths + per-stage seconds + work."""
+
+    results: DataFrame  # (qid, path array<long>)
+    timings: dict[str, float]
+    stats: EnumStats
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def total_seconds(self) -> float:
+        return sum(self.timings.values())
+
+
+def empty_result(spark: SparkSession) -> RunResult:
+    """The answer to an empty batch; it runs no Spark job."""
+    return RunResult(
+        spark.createDataFrame([], "qid long, path array<long>"), {}, EnumStats(),
+        {"n_paths": 0},
+    )
+
+
+class StageTimer:
+    """Accumulates wall-clock seconds per named stage.
+
+    Stage names follow the paper's Exp-3 decomposition: ``build_index``,
+    ``cluster_query``, ``identify_subquery``, ``enumeration``.
+    """
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + (
+                time.perf_counter() - t0
+            )
+
+    @property
+    def total(self) -> float:
+        return sum(self.seconds.values())
+
+
+def compute_splits(
+    queries: list[Query],
+    optimized: bool,
+    fwd_index: DataFrame,
+    bwd_index: DataFrame,
+) -> dict[int, int]:
+    """Per-query forward budget ``a``: fixed ⌈k/2⌉, or cost-based (⁺)."""
+    if not optimized:
+        return {q.qid: default_split(q) for q in queries}
+    fc = idx.index_counts(fwd_index)
+    bc = idx.index_counts(bwd_index)
+    return {q.qid: optimized_split(q, fc, bc) for q in queries}
+
+
+def execute_plan(
+    spark: SparkSession,
+    edges: DataFrame,
+    rev: DataFrame,
+    plan: ExecPlan,
+    fwd_index: DataFrame | None,
+    bwd_index: DataFrame | None,
+    stats: EnumStats,
+) -> tuple[DataFrame, int]:
+    """Run a plan: enumerate Ψ level by level, then ⊕-assemble once.
+
+    Each topological level is one :func:`enumerate_nodes` call with that
+    level's stop rules, and its result is checkpointed. The cache R is the
+    provider rows of the finished levels (Alg 4 lines 9-10). After the last
+    level, the union of all levels is ⊕-assembled and checkpointed. Returns
+    ``(results, n_paths)``. The index frames are read only through the
+    plan's prune pairs, so a plan without any may pass ``None``.
+    """
+    # build_allow and enumerate_nodes are looked up at call time, through
+    # the enumeration module and this module, so perfbench/trace_layers.py
+    # can wrap them.
+    allow = enumeration.build_allow(
+        spark, plan.nodes, plan.prune_pairs, fwd_index, bwd_index
+    )
+    providers = {e.provider for e in plan.edges}
+    cache = None
+    levels: list[DataFrame] = []
+    for level in plan.topo_levels:
+        nids = {n.nid for n in level}
+        res = enumerate_nodes(
+            spark, edges, rev, level, plan.prune_pairs, fwd_index, bwd_index,
+            stops=[s for s in plan.stops if s.nid in nids],
+            cache=cache, stats=stats, allow=allow,
+        )
+        levels.append(res)
+        prov = sorted(nids & providers)
+        if prov:
+            rows = res.where(F.col("nid").isin(prov))
+            cache = rows if cache is None else cache.unionByName(rows)
+    paths = functools.reduce(DataFrame.unionByName, levels)
+    results = enumeration.assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
+    return results, results.count()
 
 
 def run_batch(
@@ -45,6 +167,8 @@ def run_batch(
     ``max_depth`` caps Ψ's provider-chain length (= sequential enumeration
     levels); see ``repro.core.sharing`` for the rationale.
     """
+    if not queries:
+        return empty_result(spark)
     timer = StageTimer()
     stats = EnumStats()
     rev = reverse_edges(edges)
@@ -74,52 +198,9 @@ def run_batch(
         )
 
     with timer.stage("enumeration"):
-        from pyspark.sql import functions as F
-
-        from repro.core.enumeration import build_allow
-
-        allow = build_allow(
-            spark, plan.nodes, plan.prune_pairs, fwd_index, bwd_index
+        results, n_paths = execute_plan(
+            spark, edges, rev, plan, fwd_index, bwd_index, stats
         )
-        # Only Ψ *providers* must be materialized into the cache R (their
-        # results are re-read by consumers, Alg 4 lines 9-10). Leaf nodes —
-        # typically the initial HC-s queries carrying the bulk of the rows —
-        # stay lazy and flow straight into ⊕ assembly, split by side so each
-        # is computed exactly once.
-        provider_nids = {e.provider for e in plan.edges}
-        cache = empty_paths(spark)
-        leaf_f = empty_paths(spark)
-        leaf_b = empty_paths(spark)
-        side_of = {n.nid: n.side for n in plan.nodes}
-        for level in plan.topo_levels:
-            level_nids = {n.nid for n in level}
-            level_stops = [s for s in plan.stops if s.nid in level_nids]
-            res = enumerate_nodes(
-                spark, edges, rev, level, plan.prune_pairs,
-                fwd_index, bwd_index,
-                stops=level_stops, cache=cache, stats=stats, allow=allow,
-                materialize=False,
-            )
-            prov = sorted(level_nids & provider_nids)
-            if prov:
-                cache = cache.unionByName(
-                    res.where(F.col("nid").isin(prov)).localCheckpoint(eager=True)
-                )
-            lf = sorted(
-                n for n in level_nids - provider_nids if side_of[n] == "F"
-            )
-            lb = sorted(
-                n for n in level_nids - provider_nids if side_of[n] == "B"
-            )
-            if lf:
-                leaf_f = leaf_f.unionByName(res.where(F.col("nid").isin(lf)))
-            if lb:
-                leaf_b = leaf_b.unionByName(res.where(F.col("nid").isin(lb)))
-        results = assemble(
-            spark, cache.unionByName(leaf_f), plan.plans,
-            paths_bwd=cache.unionByName(leaf_b),
-        ).localCheckpoint(eager=True)
-        n_paths = results.count()
 
     return RunResult(
         results, timer.seconds, stats,

@@ -156,7 +156,6 @@ def enumerate_nodes(
     cache: DataFrame | None = None,
     stats: EnumStats | None = None,
     allow: DataFrame | None = None,
-    materialize: bool = True,
 ) -> DataFrame:
     """Materialize the path sets of ``nodes`` (both sides batched together).
 
@@ -165,6 +164,9 @@ def enumerate_nodes(
     ``dist_G(·, root)`` (prunes forward nodes). ``prune_pairs`` are
     ``(nid, target_root, cap)`` rows — for a forward node the targets are
     HC-s-t targets ``t`` with caps per DESIGN.md §2; symmetric for backward.
+    With no prune pairs at all the search is unpruned (the KSP baselines);
+    otherwise a node without a pair of cap ≥ 1 admits no extension (Lemma
+    3.1), so every plan builder gives each pruned node such a pair.
 
     Returns ``(nid, path, last, len)`` including the zero-length seed path
     of every node. The result is materialized via ``localCheckpoint``.
@@ -191,8 +193,6 @@ def enumerate_nodes(
         allow = build_allow(spark, nodes, prune_pairs, dist_fwd, dist_bwd)
     if allow is not None:
         allow = F.broadcast(allow)
-    has_pairs_nids = {p[0] for p in prune_pairs}
-    unpruned = [n.nid for n in nodes if n.nid not in has_pairs_nids]
 
     stop_df = None
     if stops:
@@ -224,19 +224,9 @@ def enumerate_nodes(
             .where(~F.expr("array_contains(path, dst)"))
         )
         if allow is not None:
-            if unpruned:
-                # nodes with no prune pairs (e.g. KSP baselines) bypass the
-                # allow join entirely
-                pruned_part = cand.where(~F.col("nid").isin(unpruned)).join(
-                    allow.withColumnRenamed("v", "dst"), ["nid", "dst"]
-                ).where(F.col("len") + 1 <= F.col("allow")).drop("allow")
-                cand = pruned_part.unionByName(
-                    cand.where(F.col("nid").isin(unpruned))
-                )
-            else:
-                cand = cand.join(
-                    allow.withColumnRenamed("v", "dst"), ["nid", "dst"]
-                ).where(F.col("len") + 1 <= F.col("allow"))
+            cand = cand.join(
+                allow.withColumnRenamed("v", "dst"), ["nid", "dst"]
+            ).where(F.col("len") + 1 <= F.col("allow"))
         new = cand.select(
             "nid",
             F.expr("array_append(path, dst)").alias("path"),
@@ -290,17 +280,13 @@ def enumerate_nodes(
             )
         )
         results = results.unionByName(attached)
-    # Per-hop frontiers are already checkpointed; ``materialize=False`` lets
-    # a caller keep the (potentially huge) cache-concatenation output lazy
-    # when it flows straight into ⊕ assembly and is never re-read.
-    return results.localCheckpoint(eager=True) if materialize else results
+    return results.localCheckpoint(eager=True)
 
 
 def assemble(
     spark: SparkSession,
     paths: DataFrame,
     plans: list[QueryPlan],
-    paths_bwd: DataFrame | None = None,
 ) -> DataFrame:
     """⊕-concatenate half-paths into final HC-s-t paths (Def 3.1).
 
@@ -309,13 +295,11 @@ def assemble(
     keyed ``bnid``). Output: ``(qid, path)`` with ``path`` the full vertex
     array from s to t. Duplicate-free split per DESIGN.md §2:
 
-    * hops < a  → forward path already ending at t;
+    * 1 ≤ hops < a → forward path already ending at t (a zero-hop path
+      would be ``s = t`` itself, which is not an s-t path);
     * hops ≥ a → forward prefix of exactly ``a`` hops ⋈ backward suffix
       (including the zero-length ``[t]``) on the meeting vertex, filtered
       for vertex-disjointness.
-
-    ``paths_bwd`` (optional) supplies the backward-node rows separately so
-    lazily-built inputs are each scanned exactly once; defaults to ``paths``.
     """
     if not plans:
         return spark.createDataFrame([], "qid long, path array<long>")
@@ -332,12 +316,12 @@ def assemble(
         F.col("len").alias("flen"),
     )
     part1 = fwd.where(
-        (F.col("flen") < F.col("a")) & (F.col("flast") == F.col("t"))
+        (F.col("flen") >= 1) & (F.col("flen") < F.col("a"))
+        & (F.col("flast") == F.col("t"))
     ).select("qid", F.col("fpath").alias("path"))
 
     fexact = fwd.where(F.col("flen") == F.col("a"))
-    bsrc = paths_bwd if paths_bwd is not None else paths
-    bwd = bsrc.join(plan_df, bsrc["nid"] == plan_df["bnid"]).select(
+    bwd = paths.join(plan_df, paths["nid"] == plan_df["bnid"]).select(
         F.col("qid").alias("bqid"),
         (F.col("k") - F.col("a")).alias("b"),
         F.col("path").alias("bpath"),

@@ -13,60 +13,8 @@ pays off.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-
-
-def multi_source_bfs(
-    spark: SparkSession,
-    edges: DataFrame,
-    roots: list[int],
-    k_max: int,
-) -> DataFrame:
-    """``(root, v, dist)`` for all ``v`` with ``dist(root, v) ≤ k_max``.
-
-    Distances are hop counts on ``edges``; pass the reversed edge frame to
-    obtain distances on ``G_r``. The result is materialized
-    (``localCheckpoint``) so callers can join it repeatedly without
-    re-running the BFS lineage.
-    """
-    roots = sorted(set(roots))
-    if not roots:
-        return spark.createDataFrame([], "root long, v long, dist int")
-    seed = spark.createDataFrame(
-        pd.DataFrame(
-            {"root": pd.Series(roots, dtype="int64"),
-             "v": pd.Series(roots, dtype="int64"),
-             "dist": pd.Series([0] * len(roots), dtype="int32")}
-        )
-    )
-    # The edge table is broadcast into every frontier join: the frontier is
-    # the small, shuffling side at our scale, and a map-side join removes
-    # per-level shuffle overhead (DESIGN.md §2 — the index/graph broadcast
-    # is the batch algorithms' shared-state pattern).
-    edges_b = F.broadcast(edges)
-    levels = [seed.localCheckpoint(eager=True)]
-    frontier = levels[0]
-    for depth in range(1, k_max + 1):
-        visited = levels[0]
-        for lv in levels[1:]:
-            visited = visited.unionByName(lv)
-        nxt = (
-            frontier.join(edges_b, frontier["v"] == edges_b["src"])
-            .select("root", F.col("dst").alias("v"))
-            .distinct()
-            .join(visited.select("root", "v"), ["root", "v"], "left_anti")
-            .withColumn("dist", F.lit(depth).cast("int"))
-        ).localCheckpoint(eager=True)
-        if nxt.isEmpty():
-            break
-        levels.append(nxt)
-        frontier = nxt
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.unionByName(lv)
-    return out.localCheckpoint(eager=True)
 
 
 def bidirectional_index(
@@ -80,13 +28,19 @@ def bidirectional_index(
     """Both index halves — ``dist_G(s, ·)`` and ``dist_{G_r}(t, ·)`` — in one
     tagged level-synchronous loop (one Spark job per hop for both
     directions), exactly as BasicEnum/BatchEnum build their shared index
-    from S and T together (Alg 1/4 lines 1-2)."""
-    import pandas as pd
+    from S and T together (Alg 1/4 lines 1-2).
 
+    Each half is ``(root, v, dist)`` for all ``v`` with ``dist(root, v) ≤
+    k_max``; duplicate roots count once.
+    """
     s_roots, t_roots = sorted(set(s_roots)), sorted(set(t_roots))
     tagged = edges.withColumn("tag", F.lit("F")).unionByName(
         edges_rev.withColumn("tag", F.lit("B"))
     )
+    # The edge table is broadcast into every frontier join: the frontier is
+    # the small, shuffling side at our scale, and a map-side join removes
+    # per-level shuffle overhead (DESIGN.md §2 — the index/graph broadcast
+    # is the batch algorithms' shared-state pattern).
     tagged_b = F.broadcast(tagged)
     seed_rows = [("F", r, r, 0) for r in s_roots] + [("B", r, r, 0) for r in t_roots]
     seed = spark.createDataFrame(seed_rows, "tag string, root long, v long, dist int")

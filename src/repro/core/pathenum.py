@@ -3,21 +3,21 @@
 Processes each query of the batch in isolation, exactly as the paper's
 baseline does: a private two-BFS index (from ``s`` on G and ``t`` on G_r,
 bounded by that query's ``k``) followed by the index-pruned bidirectional
-search and ⊕ concatenation. The batch cost is the sum of per-query jobs —
-no index sharing, no computation sharing; this is what BasicEnum improves
-on via the shared multi-source index, and BatchEnum via Ψ.
+search and ⊕ concatenation — that is, BasicEnum on a one-query batch. The
+batch cost is the sum of per-query jobs — no index sharing, no computation
+sharing; this is what BasicEnum improves on via the shared multi-source
+index, and BatchEnum via Ψ.
 """
 from __future__ import annotations
 
+import functools
+
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import index as idx
-from repro.core.basic_enum import RunResult
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
+from repro.core.basic_enum import run_basic
+from repro.core.batch_enum import RunResult, empty_result
+from repro.core.enumeration import EnumStats
 from repro.core.queries import Query
-from repro.core.sharing import build_basic_plan, default_split
-from repro.graph.ops import reverse_edges
-from repro.harness.timing import StageTimer
 
 
 def run_pathenum(
@@ -26,26 +26,15 @@ def run_pathenum(
     queries: list[Query],
 ) -> RunResult:
     """Answer every query with an independent PathEnum run."""
-    timer = StageTimer()
+    if not queries:
+        return empty_result(spark)
+    runs = [run_basic(spark, edges, [q]) for q in queries]
     stats = EnumStats()
-    rev = reverse_edges(edges)
-    per_query: list[DataFrame] = []
-    n_paths = 0
-    for q in queries:
-        with timer.stage("build_index"):
-            fwd_index, bwd_index = idx.bidirectional_index(
-                spark, edges, rev, [q.s], [q.t], q.k
-            )
-        with timer.stage("enumeration"):
-            plan = build_basic_plan([q], {q.qid: default_split(q)})
-            paths = enumerate_nodes(
-                spark, edges, rev, plan.nodes, plan.prune_pairs,
-                fwd_index, bwd_index, stats=stats,
-            )
-            res = assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
-            n_paths += res.count()
-        per_query.append(res)
-    results = per_query[0]
-    for r in per_query[1:]:
-        results = results.unionByName(r)
-    return RunResult(results, timer.seconds, stats, {"n_paths": n_paths})
+    timings: dict[str, float] = {}
+    for rr in runs:
+        stats.merge(rr.stats)
+        for stage, s in rr.timings.items():
+            timings[stage] = timings.get(stage, 0.0) + s
+    results = functools.reduce(DataFrame.unionByName, (rr.results for rr in runs))
+    n_paths = sum(rr.extras["n_paths"] for rr in runs)
+    return RunResult(results, timings, stats, {"n_paths": n_paths})

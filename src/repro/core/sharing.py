@@ -56,9 +56,6 @@ class ExecPlan:
     stops: list[StopRule] = field(default_factory=list)
     topo_levels: list[list[HcsNode]] = field(default_factory=list)
 
-    def node(self, nid: int) -> HcsNode:
-        return next(n for n in self.nodes if n.nid == nid)
-
 
 def default_split(q: Query) -> int:
     """PathEnum's fixed split: forward budget ``⌈k/2⌉`` (Alg 1 lines 5-6)."""

@@ -1,2 +1,2 @@
-"""Experiment harness: stage timing and one runner per evaluation table
+"""Experiment harness: one runner per evaluation table
 (Table I, Exp-1 … Exp-7), each returning a tidy pandas DataFrame."""

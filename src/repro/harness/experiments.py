@@ -16,8 +16,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.ksp import run_dksp, run_onepass
-from repro.core.basic_enum import RunResult, run_basic
-from repro.core.batch_enum import run_batch
+from repro.core.basic_enum import run_basic
+from repro.core.batch_enum import RunResult, run_batch
 from repro.core.pathenum import run_pathenum
 from repro.core.queries import gen_queries
 from repro.graph.generators import BENCH_DATASETS, DATASETS, dataset, graph_stats

@@ -4,6 +4,8 @@ the reference engine and, as whole batches, against the DuckDB oracle.
 """
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.baselines.ksp import run_dksp, run_onepass
@@ -23,6 +25,32 @@ PAPER_Q = [
     Query(3, 4, 14, 4),
     Query(4, 9, 14, 3),
 ]
+
+RUNNERS = {
+    "pathenum": run_pathenum,
+    "basic": run_basic,
+    "basic+": functools.partial(run_basic, optimized=True),
+    "batch": functools.partial(run_batch, gamma=0.8),
+    "batch+": functools.partial(run_batch, gamma=0.8, optimized=True),
+    "dksp": run_dksp,
+    "onepass": run_onepass,
+}
+ALGOS = list(RUNNERS)
+
+# (expanded_rows, closed_rows, levels, n_paths) of each algorithm on PAPER_Q:
+# work counts every plan change must keep.
+EXACT_COUNTS = {
+    "pathenum": (40, 0, 13, 11),
+    "basic": (40, 0, 3, 11),
+    "basic+": (40, 0, 3, 11),
+    "batch": (28, 8, 5, 11),
+    "batch+": (29, 5, 5, 11),
+    "dksp": (51, 0, 3, 11),
+    "onepass": (81, 0, 5, 11),
+}
+
+# q0 has s = t: a single vertex is not an s-t path, so its answer is ∅.
+SAME_ENDPOINT_Q = [Query(0, 4, 4, 3), Query(1, 0, 11, 5)]
 
 
 def by_query(rr, queries):
@@ -51,18 +79,14 @@ def paper_expect(paper_adj):
 
 @pytest.fixture(scope="module")
 def paper_runs(spark, paper_edges):
+    return {name: run(spark, paper_edges, PAPER_Q) for name, run in RUNNERS.items()}
+
+
+@pytest.fixture(scope="module")
+def same_endpoint_runs(spark, paper_edges):
     return {
-        "pathenum": run_pathenum(spark, paper_edges, PAPER_Q),
-        "basic": run_basic(spark, paper_edges, PAPER_Q),
-        "basic+": run_basic(spark, paper_edges, PAPER_Q, optimized=True),
-        "batch": run_batch(spark, paper_edges, PAPER_Q, gamma=0.8),
-        "batch+": run_batch(spark, paper_edges, PAPER_Q, gamma=0.8, optimized=True),
-        "dksp": run_dksp(spark, paper_edges, PAPER_Q),
-        "onepass": run_onepass(spark, paper_edges, PAPER_Q),
+        name: run(spark, paper_edges, SAME_ENDPOINT_Q) for name, run in RUNNERS.items()
     }
-
-
-ALGOS = ["pathenum", "basic", "basic+", "batch", "batch+", "dksp", "onepass"]
 
 
 class TestPaperBatchCorrectness:
@@ -83,6 +107,13 @@ class TestPaperBatchCorrectness:
         want = sum(len(v) for v in paper_expect.values())
         for algo in ALGOS:
             assert paper_runs[algo].extras["n_paths"] == want, algo
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_exact_counts(self, paper_runs, algo):
+        rr = paper_runs[algo]
+        got = (rr.stats.expanded_rows, rr.stats.closed_rows, rr.stats.levels,
+               rr.extras["n_paths"])
+        assert got == EXACT_COUNTS[algo]
 
     def test_batch_shares_computation(self, paper_runs):
         # Ψ sharing must reduce expansion work vs BasicEnum on this batch.
@@ -175,3 +206,34 @@ class TestDegenerateBatches:
         got = by_query(rr, qs)
         for q in qs:
             assert got[q.qid] == ref.enum_st_paths(paper_adj, 0, 11, q.k), q
+
+
+class TestSourceEqualsTarget:
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_matches_reference_and_oracle(
+        self, same_endpoint_runs, paper_adj, paper_pdf, algo
+    ):
+        rr = same_endpoint_runs[algo]
+        want = {q.qid: ref.enum_st_paths(paper_adj, q.s, q.t, q.k) for q in SAME_ENDPOINT_Q}
+        assert want[0] == set()
+        assert by_query(rr, SAME_ENDPOINT_Q) == want
+        assert rr.extras["n_paths"] == len(want[1])
+        assert_equivalent(
+            paths_as_strings(rr.results), st_paths_sql(SAME_ENDPOINT_Q), edges=paper_pdf
+        )
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_empty_result_without_spark_jobs(self, spark, paper_edges, algo):
+        sc = spark.sparkContext
+        group = f"empty-batch-{algo}"
+        sc.setJobGroup(group, group)
+        try:
+            rr = RUNNERS[algo](spark, paper_edges, [])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive async
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+        assert rr.extras["n_paths"] == 0
+        assert rr.results.count() == 0

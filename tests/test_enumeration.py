@@ -15,7 +15,7 @@ from repro.core.enumeration import (
     enumerate_nodes,
     paths_as_strings,
 )
-from repro.core.index import multi_source_bfs
+from repro.core.index import bidirectional_index
 from repro.graph.ops import reverse_edges
 from repro.oracle import assert_equivalent
 from tests.sqlgen import hcs_paths_sql
@@ -31,13 +31,13 @@ def paper_rev(paper_edges):
 
 
 @pytest.fixture(scope="module")
-def paper_bwd_index(spark, paper_rev):
-    return multi_source_bfs(spark, paper_rev, [11, 12, 13, 14], 5)
+def paper_bwd_index(spark, paper_edges, paper_rev):
+    return bidirectional_index(spark, paper_edges, paper_rev, [], [11, 12, 13, 14], 5)[1]
 
 
 @pytest.fixture(scope="module")
-def paper_fwd_index(spark, paper_edges):
-    return multi_source_bfs(spark, paper_edges, [0, 2, 5, 4, 9], 5)
+def paper_fwd_index(spark, paper_edges, paper_rev):
+    return bidirectional_index(spark, paper_edges, paper_rev, [0, 2, 5, 4, 9], [], 5)[0]
 
 
 class TestUnprunedHcsEnumeration:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness import experiments as ex
-from repro.harness.timing import StageTimer
+from repro.core.batch_enum import StageTimer
 
 
 class TestStageTimer:

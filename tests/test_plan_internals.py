@@ -96,6 +96,12 @@ class TestPlanInvariants:
             if n.nid not in init_nids:
                 assert n.budget >= 2  # submarginal sharing suppressed
 
+    def test_every_node_has_a_usable_prune_pair(self, rand_plan):
+        """enumerate_nodes prunes a node without a pair of cap ≥ 1 to its seed."""
+        _, plan = rand_plan
+        pruned = {nid for nid, _, cap in plan.prune_pairs if cap >= 1}
+        assert {n.nid for n in plan.nodes} <= pruned
+
     def test_no_self_edges(self, rand_plan):
         _, plan = rand_plan
         for e in plan.edges:

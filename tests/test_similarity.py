@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core import ref_engine as ref
-from repro.core.index import multi_source_bfs
+from repro.core.index import bidirectional_index
 from repro.core.queries import Query
 from repro.core.similarity import (
     batch_similarity,
@@ -51,8 +51,10 @@ class TestMuFromCoeffs:
 
 @pytest.fixture(scope="module")
 def paper_mu(spark, paper_edges):
-    fwd = multi_source_bfs(spark, paper_edges, [q.s for q in PAPER_Q], 5)
-    bwd = multi_source_bfs(spark, reverse_edges(paper_edges), [q.t for q in PAPER_Q], 5)
+    fwd, bwd = bidirectional_index(
+        spark, paper_edges, reverse_edges(paper_edges),
+        [q.s for q in PAPER_Q], [q.t for q in PAPER_Q], 5,
+    )
     return pairwise_mu(fwd, bwd, PAPER_Q)
 
 
@@ -84,7 +86,9 @@ class TestPaperExample41:
 
 class TestGammaMembers:
     def test_matches_ref_reach_sets(self, spark, paper_edges, paper_adj):
-        fwd = multi_source_bfs(spark, paper_edges, [q.s for q in PAPER_Q], 5)
+        fwd = bidirectional_index(
+            spark, paper_edges, reverse_edges(paper_edges), [q.s for q in PAPER_Q], [], 5
+        )[0]
         got = gamma_members(fwd, PAPER_Q, by_target=False).collect()
         by_q: dict[int, set[int]] = {}
         for r in got:
@@ -93,7 +97,7 @@ class TestGammaMembers:
             assert by_q[q.qid] == set(ref.reach_set(paper_adj, q.s, q.k)), q
 
     def test_gamma_q3_paper_listing(self, spark, paper_edges):
-        fwd = multi_source_bfs(spark, paper_edges, [4], 4)
+        fwd = bidirectional_index(spark, paper_edges, reverse_edges(paper_edges), [4], [], 4)[0]
         got = {
             r["v"]
             for r in gamma_members(fwd, [Query(3, 4, 14, 4)], by_target=False).collect()
@@ -102,7 +106,7 @@ class TestGammaMembers:
         assert got == {4, 9, 3, 8, 15, 6, 11, 13, 14}
 
     def test_gamma_q4_paper_listing(self, spark, paper_edges):
-        fwd = multi_source_bfs(spark, paper_edges, [9], 3)
+        fwd = bidirectional_index(spark, paper_edges, reverse_edges(paper_edges), [9], [], 3)[0]
         got = {
             r["v"]
             for r in gamma_members(fwd, [Query(4, 9, 14, 3)], by_target=False).collect()
