@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.batch_enum import RunResult, StageTimer, empty_result, execute_plan
 from repro.core.enumeration import EnumStats
-from repro.core.queries import Query
+from repro.core.queries import Query, check_batch
 from repro.core.sharing import build_basic_plan, default_split
 from repro.graph.ops import reverse_edges
 
@@ -33,6 +33,7 @@ def _run_unpruned(
     queries: list[Query],
     splits: dict[int, int],
 ) -> RunResult:
+    check_batch(queries)
     if not queries:
         return empty_result(spark)
     timer = StageTimer()

@@ -26,7 +26,7 @@ from repro.core.enumeration import EnumStats
 # Unused here: perfbench/trace_layers.py patches ``enumerate_nodes`` by this
 # module's name, so the name must stay importable from it.
 from repro.core.enumeration import enumerate_nodes  # noqa: F401
-from repro.core.queries import Query
+from repro.core.queries import Query, check_batch
 from repro.core.sharing import build_basic_plan
 from repro.graph.ops import reverse_edges
 
@@ -39,6 +39,7 @@ def run_basic(
     optimized: bool = False,
 ) -> RunResult:
     """Run Algorithm 1 over the batch; returns all HC-s-t paths per query."""
+    check_batch(queries)
     if not queries:
         return empty_result(spark)
     timer = StageTimer()

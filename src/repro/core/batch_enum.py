@@ -4,8 +4,9 @@ algorithm runs on.
 Pipeline (Alg 4 lines 1-16):
 
 1. **BuildIndex** — shared multi-source BFS index (same as BasicEnum).
-2. **ClusterQuery** — pairwise μ from the index's Γ reach sets (one Spark
-   self-join), then driver-side hierarchical clustering at threshold γ.
+2. **ClusterQuery** — pairwise μ from the index's Γ reach sets (each index
+   half collected once, sets intersected on the driver), then driver-side
+   hierarchical clustering at threshold γ.
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
 4. **Enumeration** — :func:`execute_plan` processes Ψ's HC-s nodes
@@ -36,7 +37,7 @@ from repro.core import enumeration
 from repro.core import index as idx
 from repro.core.clustering import cluster_queries
 from repro.core.enumeration import EnumStats, enumerate_nodes
-from repro.core.queries import Query
+from repro.core.queries import Query, check_batch
 from repro.core.sharing import (
     ExecPlan,
     align_splits_per_cluster,
@@ -45,7 +46,12 @@ from repro.core.sharing import (
     optimized_split,
 )
 from repro.core.similarity import batch_similarity, pairwise_mu
-from repro.graph.ops import collect_adjacency, reverse_adjacency, reverse_edges
+from repro.graph.ops import (
+    collect_adjacency,
+    local_frame,
+    reverse_adjacency,
+    reverse_edges,
+)
 
 
 @dataclass
@@ -65,7 +71,7 @@ class RunResult:
 def empty_result(spark: SparkSession) -> RunResult:
     """The answer to an empty batch; it runs no Spark job."""
     return RunResult(
-        spark.createDataFrame([], "qid long, path array<long>"), {}, EnumStats(),
+        local_frame(spark, [], "qid long, path array<long>"), {}, EnumStats(),
         {"n_paths": 0},
     )
 
@@ -167,6 +173,7 @@ def run_batch(
     ``max_depth`` caps Ψ's provider-chain length (= sequential enumeration
     levels); see ``repro.core.sharing`` for the rationale.
     """
+    check_batch(queries)
     if not queries:
         return empty_result(spark)
     timer = StageTimer()

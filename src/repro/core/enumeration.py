@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from repro.graph.ops import local_frame
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,7 @@ _EMPTY_SCHEMA = "nid long, path array<long>, last long, len int"
 
 
 def empty_paths(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], _EMPTY_SCHEMA)
-
-
-def _seeds(spark: SparkSession, nodes: list[HcsNode]) -> DataFrame:
-    rows = [(n.nid, [n.root], n.root, 0) for n in nodes]
-    return spark.createDataFrame(rows, _EMPTY_SCHEMA)
+    return local_frame(spark, [], _EMPTY_SCHEMA)
 
 
 def _allow_table(
@@ -102,9 +98,7 @@ def _allow_table(
     any paired target (unreachable, dist = ∞) get no row and are pruned by
     the inner join.
     """
-    pairs = spark.createDataFrame(
-        pd.DataFrame(prune_pairs, columns=["nid", "t", "cap"]).astype("int64")
-    )
+    pairs = local_frame(spark, prune_pairs, "nid long, t long, cap long")
     return (
         pairs.join(dist_index, pairs["t"] == dist_index["root"])
         .select("nid", "v", (F.col("cap") - F.col("dist")).alias("slack"))
@@ -186,9 +180,6 @@ def enumerate_nodes(
             edges_bwd.withColumn("eside", F.lit("B"))
         )
     )
-    node_side = spark.createDataFrame(
-        [(n.nid, n.side, n.budget) for n in nodes], "nid long, side string, budget int"
-    )
     if allow is None:
         allow = build_allow(spark, nodes, prune_pairs, dist_fwd, dist_bwd)
     if allow is not None:
@@ -199,14 +190,17 @@ def enumerate_nodes(
         node_stops = [s for s in stops if s.nid in {n.nid for n in nodes}]
         if node_stops:
             stop_df = F.broadcast(
-                spark.createDataFrame(
+                local_frame(
+                    spark,
                     [(s.nid, s.stop_v, s.provider) for s in node_stops],
                     "nid long, stop_v long, provider long",
                 )
             )
 
-    seeds = _seeds(spark, nodes).join(F.broadcast(node_side), "nid").select(
-        "nid", "path", "last", "len", "side", "budget"
+    seeds = local_frame(
+        spark,
+        [(n.nid, [n.root], n.root, 0, n.side, n.budget) for n in nodes],
+        f"{_EMPTY_SCHEMA}, side string, budget int",
     )
     results = seeds.select("nid", "path", "last", "len")
     closed = None
@@ -302,9 +296,10 @@ def assemble(
       for vertex-disjointness.
     """
     if not plans:
-        return spark.createDataFrame([], "qid long, path array<long>")
+        return local_frame(spark, [], "qid long, path array<long>")
     plan_df = F.broadcast(
-        spark.createDataFrame(
+        local_frame(
+            spark,
             [(p.qid, p.s, p.t, p.k, p.a, p.fnid, p.bnid) for p in plans],
             "qid long, s long, t long, k int, a int, fnid long, bnid long",
         )

@@ -16,6 +16,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.graph.ops import local_frame
+
 
 def bidirectional_index(
     spark: SparkSession,
@@ -43,8 +45,7 @@ def bidirectional_index(
     # is the batch algorithms' shared-state pattern).
     tagged_b = F.broadcast(tagged)
     seed_rows = [("F", r, r, 0) for r in s_roots] + [("B", r, r, 0) for r in t_roots]
-    seed = spark.createDataFrame(seed_rows, "tag string, root long, v long, dist int")
-    levels = [seed.localCheckpoint(eager=True)]
+    levels = [local_frame(spark, seed_rows, "tag string, root long, v long, dist int")]
     frontier = levels[0]
     for depth in range(1, k_max + 1):
         visited = levels[0]

@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.basic_enum import run_basic
 from repro.core.batch_enum import RunResult, empty_result
 from repro.core.enumeration import EnumStats
-from repro.core.queries import Query
+from repro.core.queries import Query, check_batch
 
 
 def run_pathenum(
@@ -26,6 +26,7 @@ def run_pathenum(
     queries: list[Query],
 ) -> RunResult:
     """Answer every query with an independent PathEnum run."""
+    check_batch(queries)
     if not queries:
         return empty_result(spark)
     runs = [run_basic(spark, edges, [q]) for q in queries]

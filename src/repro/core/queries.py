@@ -26,6 +26,22 @@ class Query:
     k: int
 
 
+def check_batch(queries: list[Query]) -> None:
+    """Reject a batch the algorithms do not accept, before any Spark job.
+
+    Raises ``ValueError`` for a negative hop constraint ``k`` or a qid used
+    by more than one query. An empty batch, ``s = t`` and endpoints absent
+    from the graph are accepted (their answers are empty).
+    """
+    seen: set[int] = set()
+    for q in queries:
+        if q.k < 0:
+            raise ValueError(f"query {q.qid}: hop constraint k must be >= 0, got {q.k}")
+        if q.qid in seen:
+            raise ValueError(f"duplicate qid {q.qid} in the batch")
+        seen.add(q.qid)
+
+
 def _random_walk(adj: Adj, s: int, max_hops: int, rng: random.Random) -> list[int]:
     """Simple random walk from ``s``; guarantees the endpoint is reachable."""
     path = [s]

@@ -3,9 +3,9 @@
 Γ(q)/Γ_r(q) are reach sets within ``q.k`` hops of ``q.s`` on G / ``q.t`` on
 ``G_r`` (Def 4.4). Crucially — as the paper notes — these are *not* computed
 specially: they are exactly the rows the index BFS already produced, so
-:func:`gamma_sets` just filters the index DataFrame. Pairwise intersection
-sizes come from one (qid, v) self-join; the μ arithmetic on |Q|²-sized
-counts runs on the driver.
+they are filters of the index. :func:`pairwise_mu` collects each index half
+once and builds the sets, their intersections and the μ arithmetic on the
+driver; :func:`gamma_members` is the same filter as a Spark DataFrame.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.queries import Query
+from repro.graph.ops import local_frame
 
 
 def gamma_members(index: DataFrame, queries: list[Query], *, by_target: bool) -> DataFrame:
@@ -24,9 +25,7 @@ def gamma_members(index: DataFrame, queries: list[Query], *, by_target: bool) ->
     ``by_target=False`` and the backward index (roots = targets) otherwise.
     """
     root_of = [(q.qid, q.t if by_target else q.s, q.k) for q in queries]
-    qmap = F.broadcast(
-        index.sparkSession.createDataFrame(root_of, "qid long, r long, k int")
-    )
+    qmap = F.broadcast(local_frame(index.sparkSession, root_of, "qid long, r long, k int"))
     return (
         index.join(qmap, index["root"] == qmap["r"])
         .where(F.col("dist") <= F.col("k"))
@@ -35,16 +34,24 @@ def gamma_members(index: DataFrame, queries: list[Query], *, by_target: bool) ->
     )
 
 
-def _sizes_and_intersections(members: DataFrame) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Collect the (qid, v) membership rows once and intersect on the driver.
+def _gamma_sets(index: DataFrame, queries: list[Query], *, by_target: bool) -> dict[int, set[int]]:
+    """The sets of :func:`gamma_members`, built on the driver from one
+    collect of the index half.
 
-    The membership table is |Q| × k-hop-reach ≈ 10⁴–10⁵ rows — metadata-
-    sized — so a driver set-intersection beats a Spark self-join (whose
-    fixed shuffle cost would dominate BatchEnum's sharing overhead)."""
-    pdf = members.toPandas()
+    The index is |roots| × k-hop-reach ≈ 10⁴–10⁵ rows — metadata-sized — so
+    one collect and driver-side filters beat a Spark join, distinct and
+    collect (whose fixed per-job cost would dominate BatchEnum's sharing
+    overhead). Every query's root is in the index, at dist 0."""
+    by_root = {int(r): g for r, g in index.toPandas().groupby("root")}
     sets: dict[int, set[int]] = {}
-    for qid, v in zip(pdf["qid"].tolist(), pdf["v"].tolist()):
-        sets.setdefault(int(qid), set()).add(int(v))
+    for q in queries:
+        g = by_root[q.t if by_target else q.s]
+        sets[q.qid] = set(g["v"][g["dist"] <= q.k].tolist())
+    return sets
+
+
+def _sizes_and_intersections(sets: dict[int, set[int]]) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Set sizes, and the sizes of all non-empty pairwise intersections."""
     sizes = {q: len(s) for q, s in sets.items()}
     inter: dict[tuple[int, int], int] = {}
     for qa, qb in itertools.combinations(sorted(sets), 2):
@@ -74,10 +81,8 @@ def pairwise_mu(
     fwd_index: DataFrame, bwd_index: DataFrame, queries: list[Query]
 ) -> dict[tuple[int, int], float]:
     """μ for every unordered query pair, keyed ``(qa, qb)`` with qa < qb."""
-    gf = gamma_members(fwd_index, queries, by_target=False)
-    gb = gamma_members(bwd_index, queries, by_target=True)
-    fs, fi = _sizes_and_intersections(gf)
-    bs, bi = _sizes_and_intersections(gb)
+    fs, fi = _sizes_and_intersections(_gamma_sets(fwd_index, queries, by_target=False))
+    bs, bi = _sizes_and_intersections(_gamma_sets(bwd_index, queries, by_target=True))
     out: dict[tuple[int, int], float] = {}
     for qa, qb in itertools.combinations(sorted(q.qid for q in queries), 2):
         cf = _coeff(fs.get(qa, 0), fs.get(qb, 0), fi.get((qa, qb), 0))

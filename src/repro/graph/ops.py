@@ -2,8 +2,30 @@
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
+import pyarrow as pa
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
+from pyspark.sql.types import DataType
+
+
+def local_frame(spark: SparkSession, rows: list[tuple], ddl_schema: str) -> DataFrame:
+    """A DataFrame of driver-built ``rows``, tuples in ``ddl_schema`` order.
+
+    The rows go to the JVM as one Arrow table and plan as a
+    ``LocalTableScan``. ``createDataFrame`` over a Python list would pickle
+    them and reserialize them through Python workers on every scan, which
+    costs several hundred milliseconds per frame (DESIGN.md §2). An empty
+    ``rows`` gives an empty frame that keeps the schema.
+    """
+    schema = DataType.fromDDL(ddl_schema)
+    arrow_schema = to_arrow_schema(schema)
+    cols = list(zip(*rows)) if rows else [()] * len(arrow_schema)
+    table = pa.Table.from_arrays(
+        [pa.array(c, type=f.type) for c, f in zip(cols, arrow_schema)],
+        schema=arrow_schema,
+    )
+    return spark.createDataFrame(table, schema)
 
 
 def reverse_edges(edges: DataFrame) -> DataFrame:

@@ -5,8 +5,10 @@ the reference engine and, as whole batches, against the DuckDB oracle.
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import pytest
+from pyspark.sql import SparkSession
 
 from repro.baselines.ksp import run_dksp, run_onepass
 from repro.core import ref_engine as ref
@@ -53,6 +55,30 @@ EXACT_COUNTS = {
 SAME_ENDPOINT_Q = [Query(0, 4, 4, 3), Query(1, 0, 11, 5)]
 
 
+def no_row_pickling():
+    """Make PySpark's row-pickling ``createDataFrame(list)`` path raise.
+
+    Driver-built rows must enter Spark through ``local_frame`` (DESIGN.md
+    §2); the seven algorithms' Fig 1 runs are made under this patch."""
+    return mock.patch.object(
+        SparkSession, "_create_dataframe",
+        side_effect=AssertionError("driver rows must enter Spark through local_frame"),
+    )
+
+
+def spark_jobs_of(spark, group, call):
+    """Run ``call()`` under Spark job group ``group``; return its result and
+    the ids of the jobs it started."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive async
+    return out, sc.statusTracker().getJobIdsForGroup(group)
+
+
 def by_query(rr, queries):
     out = {q.qid: set() for q in queries}
     for r in rr.results.collect():
@@ -79,7 +105,8 @@ def paper_expect(paper_adj):
 
 @pytest.fixture(scope="module")
 def paper_runs(spark, paper_edges):
-    return {name: run(spark, paper_edges, PAPER_Q) for name, run in RUNNERS.items()}
+    with no_row_pickling():
+        return {name: run(spark, paper_edges, PAPER_Q) for name, run in RUNNERS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -226,14 +253,35 @@ class TestSourceEqualsTarget:
 class TestEmptyBatch:
     @pytest.mark.parametrize("algo", ALGOS)
     def test_empty_result_without_spark_jobs(self, spark, paper_edges, algo):
-        sc = spark.sparkContext
-        group = f"empty-batch-{algo}"
-        sc.setJobGroup(group, group)
-        try:
-            rr = RUNNERS[algo](spark, paper_edges, [])
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive async
-        assert sc.statusTracker().getJobIdsForGroup(group) == []
+        rr, jobs = spark_jobs_of(
+            spark, f"empty-batch-{algo}", lambda: RUNNERS[algo](spark, paper_edges, [])
+        )
+        assert jobs == []
         assert rr.extras["n_paths"] == 0
         assert rr.results.count() == 0
+
+
+class TestInputContract:
+    BAD_BATCHES = {
+        "negative-k": ([Query(0, 0, 11, 5), Query(1, 2, 13, -1)], "k must be >= 0"),
+        "duplicate-qid": ([Query(0, 0, 11, 5), Query(0, 2, 13, 5)], "duplicate qid 0"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_BATCHES))
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_rejected_before_any_spark_job(self, spark, paper_edges, algo, case):
+        queries, message = self.BAD_BATCHES[case]
+
+        def call():
+            with pytest.raises(ValueError, match=message):
+                RUNNERS[algo](spark, paper_edges, queries)
+
+        _, jobs = spark_jobs_of(spark, f"bad-batch-{case}-{algo}", call)
+        assert jobs == []
+
+
+class TestDriverRowsThroughArrow:
+    def test_guard_refuses_list_frames(self, spark):
+        # paper_runs relies on this patch catching createDataFrame(list).
+        with no_row_pickling(), pytest.raises(AssertionError, match="local_frame"):
+            spark.createDataFrame([(1,)], "x long")

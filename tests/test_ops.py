@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 from repro.graph.generators import edges_from_list
 from repro.graph.ops import (
     collect_adjacency,
+    local_frame,
     reverse_adjacency,
     reverse_edges,
     sample_vertices,
@@ -83,3 +84,24 @@ class TestAdjacency:
 
     def test_vertices(self, paper_edges):
         assert vertices(paper_edges).count() == 16
+
+
+class TestLocalFrame:
+    SCHEMA = "id long, path array<long>, tag string"
+    DTYPES = [("id", "bigint"), ("path", "array<bigint>"), ("tag", "string")]
+
+    def test_empty_rows_keep_schema(self, spark):
+        df = local_frame(spark, [], self.SCHEMA)
+        assert df.dtypes == self.DTYPES
+        assert df.count() == 0
+
+    def test_round_trip(self, spark):
+        rows = [(1, [1, 2, 3], "F"), (2, [], "B"), (3, [7], "")]
+        df = local_frame(spark, rows, self.SCHEMA)
+        assert df.dtypes == self.DTYPES
+        assert sorted(tuple(r) for r in df.collect()) == rows
+
+    def test_plans_as_local_table_scan(self, spark):
+        df = local_frame(spark, [(1, [1], "F")], self.SCHEMA)
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        assert plan.startswith("LocalTableScan"), plan

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import ref_engine as ref
 from repro.core.index import bidirectional_index
-from repro.core.queries import Query
+from repro.core.queries import Query, gen_queries
 from repro.core.similarity import (
     batch_similarity,
     gamma_members,
@@ -112,6 +112,27 @@ class TestGammaMembers:
             for r in gamma_members(fwd, [Query(4, 9, 14, 3)], by_target=False).collect()
         }
         assert got == {9, 3, 8, 15, 6, 11, 13, 14}
+
+
+class TestPairwiseMuReference:
+    def test_mixed_k_matches_reach_sets(self, spark, tiny_edges, tiny_adj, tiny_radj):
+        # The index reaches k_max = 4; each query's Γ must still stop at its own k.
+        qs = gen_queries(tiny_adj, 12, k_range=(2, 4), share=0.5, seed=3)
+        fwd, bwd = bidirectional_index(
+            spark, tiny_edges, reverse_edges(tiny_edges),
+            [q.s for q in qs], [q.t for q in qs], 4,
+        )
+        got = pairwise_mu(fwd, bwd, qs)
+        gf = {q.qid: ref.reach_set(tiny_adj, q.s, q.k) for q in qs}
+        gb = {q.qid: ref.reach_set(tiny_radj, q.t, q.k) for q in qs}
+
+        def coeff(a, b):
+            return len(a & b) / min(len(a), len(b))
+
+        assert len(got) == len(qs) * (len(qs) - 1) // 2
+        for (a, b), mu in got.items():
+            want = mu_from_coeffs(coeff(gf[a], gf[b]), coeff(gb[a], gb[b]))
+            assert mu == pytest.approx(want), (a, b)
 
 
 class TestBatchSimilarity:
